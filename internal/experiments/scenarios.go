@@ -112,6 +112,22 @@ func Scenarios() []Scenario {
 			Runs: 1,
 		},
 		{
+			// The only SCReAM, rural and aerial golden: it pins the RFC 8888
+			// feedback path of §4.2.1. The horizon outlasts SCReAM's 10 s
+			// base-delay window, so the window's eviction is pinned too.
+			Name: "rural-scream-air",
+			Desc: "rural aerial SCReAM, 12 s — the RFC 8888 feedback-path trace",
+			Config: core.Config{
+				Env:      cell.Rural,
+				Op:       cell.P1,
+				Air:      true,
+				CC:       core.CCSCReAM,
+				Seed:     1,
+				Duration: 12 * time.Second,
+			},
+			Runs: 1,
+		},
+		{
 			Name: "fleet-contention",
 			Desc: "urban aerial static-rate fleet of 8 on one shared cell map (round-robin PRB split), 3 s — the contention trace",
 			Config: core.Config{
