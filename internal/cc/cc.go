@@ -45,7 +45,10 @@ type Controller interface {
 	// OnPacketSent informs the controller that a packet entered the network.
 	OnPacketSent(p SentPacket)
 	// OnFeedback delivers a feedback report. now is the sender-clock time
-	// the report arrived; acks are in transport sequence order.
+	// the report arrived; acks are in transport sequence order. acks is
+	// borrowed for the duration of the call only: the caller reuses its
+	// storage for the next report, so an implementation must copy anything
+	// it keeps.
 	OnFeedback(now time.Duration, acks []Ack)
 	// TargetBitrate returns the bitrate (bits/s) the encoder should aim for.
 	TargetBitrate(now time.Duration) float64

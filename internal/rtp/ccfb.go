@@ -93,7 +93,9 @@ func (f *CCFB) Marshal() ([]byte, error) {
 	return buf, nil
 }
 
-// Unmarshal parses an RFC 8888 feedback packet.
+// Unmarshal parses an RFC 8888 feedback packet. It reuses the storage of
+// f.Reports and of their Metrics, so a caller decoding into the same CCFB
+// again must be done with the previous contents.
 func (f *CCFB) Unmarshal(buf []byte) error {
 	var hdr rtcpHeader
 	if err := hdr.unmarshal(buf); err != nil {
@@ -120,6 +122,9 @@ func (f *CCFB) Unmarshal(buf []byte) error {
 			SSRC:     binary.BigEndian.Uint32(body[off:]),
 			BeginSeq: binary.BigEndian.Uint16(body[off+4:]),
 		}
+		if k := len(f.Reports); k < cap(f.Reports) {
+			r.Metrics = f.Reports[:k+1][k].Metrics[:0]
+		}
 		n := int(binary.BigEndian.Uint16(body[off+6:]))
 		off += 8
 		padded := n
@@ -128,6 +133,9 @@ func (f *CCFB) Unmarshal(buf []byte) error {
 		}
 		if off+2*padded > len(body) {
 			return ErrShortPacket
+		}
+		if cap(r.Metrics) < n {
+			r.Metrics = make([]CCFBMetric, 0, n)
 		}
 		for i := 0; i < n; i++ {
 			w := binary.BigEndian.Uint16(body[off+2*i:])
@@ -161,13 +169,31 @@ type CCFBGenerator struct {
 	// default is 64.
 	Window int
 
-	started  bool
-	highest  uint16
-	arrivals map[uint16]time.Duration
+	started bool
+	highest int64 // extended (unwrapped) highest received sequence number
+
+	// keys and at form a direct-mapped arrival table of a power-of-two
+	// size no smaller than Window: slot ext&(len-1) holds the first arrival
+	// time of extended sequence number ext, and keys holds ext itself (zero
+	// marks an empty slot). Keying by the extended number means a slot
+	// reused one 16-bit wrap later never reports a stale arrival, and a
+	// slot is overwritten only by a newer number, so the table needs no
+	// trimming.
+	keys []int64
+	at   []time.Duration
+
+	// fb, report and metrics back the packet Report returns.
+	fb      CCFB
+	report  [1]CCFBReport
+	metrics []CCFBMetric
 }
 
 // DefaultCCFBWindow is the ack window of the SCReAM library the paper used.
 const DefaultCCFBWindow = 64
+
+// extBase offsets extended sequence numbers so that they stay positive (and
+// non-zero) even for packets that precede the first one received.
+const extBase = 1 << 32
 
 // NewCCFBGenerator returns a generator with the given ack window (0 means
 // DefaultCCFBWindow).
@@ -175,58 +201,86 @@ func NewCCFBGenerator(senderSSRC, mediaSSRC uint32, window int) *CCFBGenerator {
 	if window <= 0 {
 		window = DefaultCCFBWindow
 	}
-	return &CCFBGenerator{
+	g := &CCFBGenerator{
 		SenderSSRC: senderSSRC,
 		MediaSSRC:  mediaSSRC,
 		Window:     window,
-		arrivals:   make(map[uint16]time.Duration),
 	}
+	g.reserve()
+	return g
 }
 
-// Record notes the arrival of RTP sequence number seq at time at.
-func (g *CCFBGenerator) Record(seq uint16, at time.Duration) {
-	if !g.started {
-		g.started = true
-		g.highest = seq
-	} else if seqLess(g.highest, seq) {
-		g.highest = seq
+// reserve grows the arrival table to at least Window slots, keeping the
+// arrivals it holds.
+func (g *CCFBGenerator) reserve() {
+	if len(g.keys) >= g.Window {
+		return
 	}
-	if _, dup := g.arrivals[seq]; !dup {
-		g.arrivals[seq] = at
+	size := 64
+	for size < g.Window {
+		size *= 2
 	}
-	// Trim arrivals that can never be reported again to bound memory.
-	if len(g.arrivals) > 4*g.Window {
-		floor := g.highest - uint16(2*g.Window)
-		for s := range g.arrivals {
-			if seqLess(s, floor) {
-				delete(g.arrivals, s)
-			}
+	keys, at := g.keys, g.at
+	g.keys, g.at = make([]int64, size), make([]time.Duration, size)
+	for i, ext := range keys {
+		if ext != 0 {
+			g.store(ext, at[i])
 		}
 	}
 }
 
+// store records the arrival of extended sequence number ext unless the
+// table already holds it or a newer number in its slot. A number evicted by
+// a newer one is at least the table size, so at least Window, behind the
+// highest and can never be reported again.
+func (g *CCFBGenerator) store(ext int64, at time.Duration) {
+	i := ext & int64(len(g.keys)-1)
+	if g.keys[i] >= ext {
+		return
+	}
+	g.keys[i], g.at[i] = ext, at
+}
+
+// Record notes the arrival of RTP sequence number seq at time at. A
+// duplicate keeps the first arrival.
+func (g *CCFBGenerator) Record(seq uint16, at time.Duration) {
+	g.reserve()
+	var ext int64
+	if !g.started {
+		g.started = true
+		ext = extBase + int64(seq)
+	} else {
+		ext = g.highest + int64(int16(seq-uint16(g.highest)))
+	}
+	if ext > g.highest {
+		g.highest = ext
+	}
+	g.store(ext, at)
+}
+
 // Report builds the feedback packet for the current reporting instant, or
-// returns nil when no packet has been received yet.
+// returns nil when no packet has been received yet. The packet and its
+// slices belong to the generator and are overwritten by the next Report.
 func (g *CCFBGenerator) Report(now time.Duration) *CCFB {
 	if !g.started {
 		return nil
 	}
-	begin := g.highest - uint16(g.Window-1)
-	rep := CCFBReport{SSRC: g.MediaSSRC, BeginSeq: begin}
-	for i := 0; i < g.Window; i++ {
-		seq := begin + uint16(i)
+	g.reserve()
+	begin := g.highest - int64(g.Window-1)
+	mask := int64(len(g.keys) - 1)
+	metrics := g.metrics[:0]
+	for ext := begin; ext <= g.highest; ext++ {
 		m := CCFBMetric{}
-		if at, ok := g.arrivals[seq]; ok {
+		if i := ext & mask; g.keys[i] == ext {
 			m.Received = true
-			if off := now - at; off > 0 {
+			if off := now - g.at[i]; off > 0 {
 				m.ArrivalOffset = off
 			}
 		}
-		rep.Metrics = append(rep.Metrics, m)
+		metrics = append(metrics, m)
 	}
-	return &CCFB{
-		SenderSSRC: g.SenderSSRC,
-		Reports:    []CCFBReport{rep},
-		Timestamp:  now,
-	}
+	g.metrics = metrics
+	g.report[0] = CCFBReport{SSRC: g.MediaSSRC, BeginSeq: uint16(begin), Metrics: metrics}
+	g.fb = CCFB{SenderSSRC: g.SenderSSRC, Reports: g.report[:], Timestamp: now}
+	return &g.fb
 }

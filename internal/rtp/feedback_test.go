@@ -446,13 +446,24 @@ func TestCCFBGeneratorNilBeforeFirstPacket(t *testing.T) {
 	}
 }
 
-func TestCCFBGeneratorTrimsHistory(t *testing.T) {
+// TestCCFBGeneratorNoStaleArrivalAfterWrap: a sequence number received
+// once and not again one full 16-bit wrap later must be reported lost. The
+// few, widely spaced arrivals here never fill the table, so nothing but the
+// extended-sequence key tells the old arrival of seq 5 from the new one.
+func TestCCFBGeneratorNoStaleArrivalAfterWrap(t *testing.T) {
 	g := NewCCFBGenerator(1, 2, 16)
-	for i := 0; i < 1000; i++ {
-		g.Record(uint16(i), time.Duration(i)*time.Millisecond)
+	for _, seq := range []uint16{5, 20000, 40000, 60000, 10} {
+		g.Record(seq, time.Second)
 	}
-	if len(g.arrivals) > 4*16 {
-		t.Errorf("arrivals grew to %d, want bounded by %d", len(g.arrivals), 4*16)
+	rep := g.Report(2 * time.Second).Reports[0]
+	if rep.BeginSeq != 65531 || len(rep.Metrics) != 16 {
+		t.Fatalf("begin=%d n=%d, want 65531 and 16", rep.BeginSeq, len(rep.Metrics))
+	}
+	for i, m := range rep.Metrics {
+		seq := rep.BeginSeq + uint16(i)
+		if want := seq == 10; m.Received != want {
+			t.Errorf("seq %d: Received = %v, want %v", seq, m.Received, want)
+		}
 	}
 }
 

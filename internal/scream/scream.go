@@ -92,30 +92,17 @@ const (
 	rateHeadroom = 0.85
 )
 
-// inflightPkt is the sender-side record of an unacknowledged packet.
-type inflightPkt struct {
-	seq      uint16
-	size     int
-	sendTime time.Duration
-}
-
-// owdSample supports the windowed base-delay minimum.
-type owdSample struct {
-	at  time.Duration
-	owd time.Duration
-}
-
 // Controller implements cc.Controller with SCReAM.
 type Controller struct {
 	cfg Config
 
 	cwnd          float64 // bytes
 	bytesInFlight int
-	inflight      map[uint16]inflightPkt
+	inflight      inflightTable
 
 	// One-way-delay tracking. The raw OWD includes the unknown clock
 	// offset; the queuing delay is its excess over the windowed minimum.
-	baseWindow []owdSample
+	baseWindow minWindow
 	qdelay     time.Duration // EWMA of the queuing delay
 
 	srtt time.Duration
@@ -158,11 +145,10 @@ func New(cfg Config) *Controller {
 	cfg.defaults()
 	srtt := 100 * time.Millisecond
 	c := &Controller{
-		cfg:      cfg,
-		inflight: make(map[uint16]inflightPkt),
-		srtt:     srtt,
-		target:   cfg.InitialRate,
-		qdelay:   0,
+		cfg:    cfg,
+		srtt:   srtt,
+		target: cfg.InitialRate,
+		qdelay: 0,
 	}
 	// Initial window sized so the initial rate is sendable at the assumed
 	// RTT.
@@ -249,7 +235,7 @@ func (c *Controller) SRTT() time.Duration { return c.srtt }
 
 // OnPacketSent implements cc.Controller.
 func (c *Controller) OnPacketSent(p cc.SentPacket) {
-	c.inflight[p.Seq] = inflightPkt{seq: p.Seq, size: p.Size, sendTime: p.SendTime}
+	c.inflight.put(p.Seq, inflightPkt{size: p.Size, sendTime: p.SendTime})
 	c.bytesInFlight += p.Size
 }
 
@@ -261,19 +247,9 @@ func seqLess(a, b uint16) bool { return a != b && b-a < 0x8000 }
 func (c *Controller) updateOWD(now time.Duration, sendTime, arrival time.Duration) time.Duration {
 	owd := arrival - sendTime
 	const baseWindowLen = 10 * time.Second
-	c.baseWindow = append(c.baseWindow, owdSample{at: now, owd: owd})
-	i := 0
-	for i < len(c.baseWindow) && now-c.baseWindow[i].at > baseWindowLen {
-		i++
-	}
-	c.baseWindow = c.baseWindow[i:]
-	base := c.baseWindow[0].owd
-	for _, s := range c.baseWindow[1:] {
-		if s.owd < base {
-			base = s.owd
-		}
-	}
-	q := owd - base
+	c.baseWindow.push(owdSample{at: now, owd: owd})
+	c.baseWindow.expire(now, baseWindowLen)
+	q := owd - c.baseWindow.min()
 	if q < 0 {
 		q = 0
 	}
@@ -284,14 +260,14 @@ func (c *Controller) updateOWD(now time.Duration, sendTime, arrival time.Duratio
 
 // OnFeedback implements cc.Controller: it ingests one RFC 8888 report,
 // translated by the transport into acks covering the report's sequence
-// range (acks[0].Seq is the report's begin_seq).
+// range (acks[0].Seq is the report's begin_seq). It does not keep acks.
 func (c *Controller) OnFeedback(now time.Duration, acks []cc.Ack) {
 	if c.wd.OnFeedback(now) {
 		// Feedback returned after an outage. The blackout consumed whatever
 		// was in flight — the stale backlog was flushed at re-establishment,
 		// not dropped by congestion — so restart the self-clock from the
 		// floor without counting it as window losses.
-		c.inflight = make(map[uint16]inflightPkt)
+		c.inflight.clear()
 		c.bytesInFlight = 0
 		c.cwnd = c.cfg.MinRate / 8 * c.boundedSRTT().Seconds()
 		if c.cwnd < float64(2*c.cfg.MSS) {
@@ -299,7 +275,7 @@ func (c *Controller) OnFeedback(now time.Duration, acks []cc.Ack) {
 		}
 		c.target = c.cfg.MinRate
 		c.qdelay = 0
-		c.baseWindow = c.baseWindow[:0]
+		c.baseWindow.reset()
 		c.lastLossAt = now
 		c.lastRateAdjust = now
 	}
@@ -313,7 +289,7 @@ func (c *Controller) OnFeedback(now time.Duration, acks []cc.Ack) {
 	haveHighest := false
 
 	for _, a := range acks {
-		pkt, known := c.inflight[a.Seq]
+		pkt, known := c.inflight.get(a.Seq)
 		if !a.Received {
 			continue
 		}
@@ -324,7 +300,7 @@ func (c *Controller) OnFeedback(now time.Duration, acks []cc.Ack) {
 		if !known {
 			continue // already acked in an earlier overlapping report
 		}
-		delete(c.inflight, a.Seq)
+		c.inflight.del(a.Seq)
 		c.bytesInFlight -= pkt.size
 		bytesAcked += pkt.size
 		// RTT sample: feedback arrival minus packet departure.
@@ -348,8 +324,8 @@ func (c *Controller) OnFeedback(now time.Duration, acks []cc.Ack) {
 			// well past the feedback round trip before a hole below the
 			// highest ack means anything.
 			lossAge := c.srtt*3/2 + 20*time.Millisecond
-			if pkt, known := c.inflight[a.Seq]; known && now-pkt.sendTime > lossAge {
-				delete(c.inflight, a.Seq)
+			if pkt, known := c.inflight.get(a.Seq); known && now-pkt.sendTime > lossAge {
+				c.inflight.del(a.Seq)
 				c.bytesInFlight -= pkt.size
 				c.Losses++
 				c.LossesInBand++
@@ -361,15 +337,11 @@ func (c *Controller) OnFeedback(now time.Duration, acks []cc.Ack) {
 	// Loss detection 2: packets older than the report's begin_seq can never
 	// be acknowledged again — the ack-window defect manufactures losses
 	// here at high rates.
-	begin := acks[0].Seq
-	for seq, pkt := range c.inflight {
-		if seqLess(seq, begin) {
-			delete(c.inflight, seq)
-			c.bytesInFlight -= pkt.size
-			c.Losses++
-			c.LossesWindow++
-			lossDetected = true
-		}
+	if n, bytes := c.inflight.expireBefore(acks[0].Seq); n > 0 {
+		c.bytesInFlight -= bytes
+		c.Losses += n
+		c.LossesWindow += n
+		lossDetected = true
 	}
 	if c.bytesInFlight < 0 {
 		c.bytesInFlight = 0
