@@ -23,7 +23,6 @@
 //	rpbench -scenario urban-gcc -serve 127.0.0.1:0   # Prometheus /metrics, /status JSON,
 //	                                                 # /events SSE, pprof; bound addr printed
 //	rpbench -scenario urban-gcc -serve 127.0.0.1:0 -servegrace 30s  # hold for a final scrape
-//	rpbench -pprof 127.0.0.1:6060 ...                # legacy alias for -serve
 //
 // Trace, metrics and report exports are byte-identical at any -workers
 // setting, and a report built from a live run matches one replayed from its
@@ -128,13 +127,13 @@ func main() {
 		return
 	}
 
-	// The live ops server (-serve, or its legacy alias -pprof): one address
-	// carrying pprof, runtime metrics, the Prometheus exposition, the status
-	// snapshot and the SSE stream. sink stays nil without a server so the
-	// engines skip all status work.
+	// The live ops server (-serve): one address carrying pprof, runtime
+	// metrics, the Prometheus exposition, the status snapshot and the SSE
+	// stream. sink stays nil without a server so the engines skip all status
+	// work.
 	var sink obs.StatusSink
 	var tel *obs.Telemetry
-	if addr := c.opsAddr(); addr != "" {
+	if addr := c.serve; addr != "" {
 		tel = obs.NewTelemetry()
 		sink = tel
 		srv, err := obs.Serve(addr, tel)

@@ -96,26 +96,3 @@ func TestBondFailoverReacts(t *testing.T) {
 		t.Errorf("primary path recorded no downtime through its blackout: %+v", r.BondPaths[0])
 	}
 }
-
-// TestBondDuplicateMatchesLegacyMultipath: Multipath:true is a compat alias
-// for the duplicate policy — the two spellings must be byte-identical.
-func TestBondDuplicateMatchesLegacyMultipath(t *testing.T) {
-	legacy := bondedConfig(bond.PolicyNone)
-	legacy.Multipath = true
-	alias := bondedConfig(bond.PolicyDuplicate)
-	a, b := bondFingerprint(Run(legacy)), bondFingerprint(Run(alias))
-	if a != b {
-		t.Errorf("legacy Multipath differs from Bond duplicate:\n--- legacy ---\n%s--- duplicate ---\n%s", a, b)
-	}
-	r := Run(alias)
-	if r.MultipathDuplicates == 0 {
-		t.Error("duplicate policy suppressed no copies")
-	}
-	var suppressed int64
-	for _, p := range r.BondPaths {
-		suppressed += p.Suppressed
-	}
-	if int(suppressed) != r.MultipathDuplicates {
-		t.Errorf("MultipathDuplicates = %d, per-path Suppressed sums to %d", r.MultipathDuplicates, suppressed)
-	}
-}

@@ -258,7 +258,7 @@ func RunFleet(fc FleetConfig) (*FleetResult, []error) {
 		fc.OverloadShare = 0.25
 	}
 	base := fc.Config
-	if base.bondConfig().Enabled() {
+	if base.Bond.Enabled() {
 		return nil, []error{errors.New("fleet: bonded configs are not supported (contention models the single-operator chain)")}
 	}
 	cells := cell.Deployment(base.Env, base.Op, sim.New(base.Seed).Stream("fleet-deploy"))

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"rpivideo/internal/bond"
 	"rpivideo/internal/cell"
 	"rpivideo/internal/fault"
 )
@@ -125,7 +126,7 @@ func TestFleetContentionMonotonic(t *testing.T) {
 // second path.
 func TestFleetRejectsBondedConfigs(t *testing.T) {
 	cfg := fleetTestConfig()
-	cfg.Multipath = true
+	cfg.Bond = bond.Config{Policy: bond.PolicyDuplicate}
 	fr, errs := RunFleet(FleetConfig{Config: cfg, Size: 2})
 	if fr != nil || len(errs) != 1 || errs[0] == nil {
 		t.Fatalf("bonded fleet: fr=%v errs=%v, want nil result and one error", fr, errs)

@@ -1,96 +1,19 @@
 package core
 
-import (
-	"encoding/json"
-	"time"
+import "encoding/json"
 
-	"rpivideo/internal/fault"
-	"rpivideo/internal/metrics"
-)
+// summaryFields is Summary without its JSON methods, so encoding/json
+// renders its tagged fields directly.
+type summaryFields Summary
 
 // summaryJSON is the Summary wire shape for the distributed-campaign shard
-// stream. Config deliberately does not travel with it: the campaign spec —
-// which both sides already hold — identifies the configuration, and Config
-// carries fields (the fleet CapacityShare hook in particular) that have no
-// JSON form. Unmarshal therefore leaves Config zero; the coordinator
-// restores it from its own resolved spec. samplesFolded is carried
-// explicitly so the aggregation-stats watermarks survive the hop.
+// stream: the tagged Summary fields plus samplesFolded, carried explicitly
+// so the aggregation-stats watermarks survive the hop. Config deliberately
+// does not travel: the campaign spec — which both sides already hold —
+// identifies the configuration, and Config carries fields (the fleet
+// CapacityShare hook in particular) that have no JSON form.
 type summaryJSON struct {
-	Runs     int           `json:"runs"`
-	Duration time.Duration `json:"duration"`
-
-	OWDms      *metrics.Sketch   `json:"owd_ms"`
-	OWDByAlt   []*metrics.Sketch `json:"owd_by_alt"`
-	Goodput    *metrics.Sketch   `json:"goodput"`
-	FPS        *metrics.Sketch   `json:"fps"`
-	PlaybackMs *metrics.Sketch   `json:"playback_ms"`
-	SSIM       *metrics.Sketch   `json:"ssim"`
-	RTTms      *metrics.Sketch   `json:"rtt_ms"`
-	RTTByAlt   []*metrics.Sketch `json:"rtt_by_alt"`
-	JitterMs   *metrics.Sketch   `json:"jitter_ms"`
-	RTCPRTTms  *metrics.Sketch   `json:"rtcp_rtt_ms"`
-	OutageMs   *metrics.Sketch   `json:"outage_ms"`
-	RecoveryMs *metrics.Sketch   `json:"recovery_ms"`
-
-	PER                  float64 `json:"per"`
-	PacketsSent          int     `json:"packets_sent"`
-	PacketsDelivered     int     `json:"packets_delivered"`
-	PacketsLost          int     `json:"packets_lost"`
-	Overflows            int     `json:"overflows"`
-	CtrlPacketsSent      int     `json:"ctrl_packets_sent"`
-	CtrlPacketsDelivered int     `json:"ctrl_packets_delivered"`
-	CtrlPacketsLost      int     `json:"ctrl_packets_lost"`
-
-	Handovers        int `json:"handovers"`
-	RLFs             int `json:"rlfs"`
-	HandoverFailures int `json:"handover_failures"`
-
-	Stalls        int     `json:"stalls"`
-	StallsPerMin  float64 `json:"stalls_per_min"`
-	FramesPlayed  int     `json:"frames_played"`
-	FramesSkipped int     `json:"frames_skipped"`
-
-	MultipathDuplicates int `json:"multipath_duplicates"`
-	AQMDrops            int `json:"aqm_drops"`
-
-	BondSwitches       int     `json:"bond_switches"`
-	BondPathDownEvents int     `json:"bond_path_down_events"`
-	BondPathUpEvents   int     `json:"bond_path_up_events"`
-	BondReorderLate    int     `json:"bond_reorder_late"`
-	BondReorderForced  int     `json:"bond_reorder_forced"`
-	BondPathSent       int64   `json:"bond_path_sent"`
-	BondPathDelivered  int64   `json:"bond_path_delivered"`
-	BondPathLost       int64   `json:"bond_path_lost"`
-	BondPathSuppressed int64   `json:"bond_path_suppressed"`
-	BondPathDownMs     float64 `json:"bond_path_down_ms"`
-
-	ScreamLosses       int `json:"scream_losses"`
-	ScreamLossesInBand int `json:"scream_losses_in_band"`
-	ScreamLossesWindow int `json:"scream_losses_window"`
-	ScreamDiscards     int `json:"scream_discards"`
-
-	Outages           int             `json:"outages"`
-	OutageTotal       time.Duration   `json:"outage_total"`
-	StaleDrops        int             `json:"stale_drops"`
-	KeyframeRequests  int             `json:"keyframe_requests"`
-	PostOutageQueueMs float64         `json:"post_outage_queue_ms"`
-	FaultEpisodes     []fault.Episode `json:"fault_episodes,omitempty"`
-
-	NacksSent           int     `json:"nacks_sent"`
-	PacketsRepaired     int     `json:"packets_repaired"`
-	FramesRepaired      int     `json:"frames_repaired"`
-	RepairLate          int     `json:"repair_late"`
-	RepairAbandoned     int     `json:"repair_abandoned"`
-	RepairDenied        int     `json:"repair_denied"`
-	RepairCacheMisses   int     `json:"repair_cache_misses"`
-	RtxBytes            int     `json:"rtx_bytes"`
-	RepairBudgetAccrued float64 `json:"repair_budget_accrued"`
-	RtxSent             int     `json:"rtx_sent"`
-	RtxDelivered        int     `json:"rtx_delivered"`
-	RtxLost             int     `json:"rtx_lost"`
-	RtxStaleDrops       int     `json:"rtx_stale_drops"`
-	RtxOverflows        int     `json:"rtx_overflows"`
-
+	*summaryFields
 	SamplesFolded int64 `json:"samples_folded"`
 }
 
@@ -98,187 +21,20 @@ type summaryJSON struct {
 // a pure function of the folded runs and their fold grouping — so two
 // summaries built from the same shards in the same order marshal to
 // identical bytes (the basis of the sharded == serial merge-equivalence
-// guarantee). Config is not serialized; see summaryJSON.
+// guarantee).
 func (s *Summary) MarshalJSON() ([]byte, error) {
-	w := summaryJSON{
-		Runs:     s.Runs,
-		Duration: s.Duration,
-
-		OWDms:      &s.OWDms,
-		Goodput:    &s.Goodput,
-		FPS:        &s.FPS,
-		PlaybackMs: &s.PlaybackMs,
-		SSIM:       &s.SSIM,
-		RTTms:      &s.RTTms,
-		JitterMs:   &s.JitterMs,
-		RTCPRTTms:  &s.RTCPRTTms,
-		OutageMs:   &s.OutageMs,
-		RecoveryMs: &s.RecoveryMs,
-
-		PER:                  s.PER,
-		PacketsSent:          s.PacketsSent,
-		PacketsDelivered:     s.PacketsDelivered,
-		PacketsLost:          s.PacketsLost,
-		Overflows:            s.Overflows,
-		CtrlPacketsSent:      s.CtrlPacketsSent,
-		CtrlPacketsDelivered: s.CtrlPacketsDelivered,
-		CtrlPacketsLost:      s.CtrlPacketsLost,
-
-		Handovers:        s.Handovers,
-		RLFs:             s.RLFs,
-		HandoverFailures: s.HandoverFailures,
-
-		Stalls:        s.Stalls,
-		StallsPerMin:  s.StallsPerMin,
-		FramesPlayed:  s.FramesPlayed,
-		FramesSkipped: s.FramesSkipped,
-
-		MultipathDuplicates: s.MultipathDuplicates,
-		AQMDrops:            s.AQMDrops,
-
-		BondSwitches:       s.BondSwitches,
-		BondPathDownEvents: s.BondPathDownEvents,
-		BondPathUpEvents:   s.BondPathUpEvents,
-		BondReorderLate:    s.BondReorderLate,
-		BondReorderForced:  s.BondReorderForced,
-		BondPathSent:       s.BondPathSent,
-		BondPathDelivered:  s.BondPathDelivered,
-		BondPathLost:       s.BondPathLost,
-		BondPathSuppressed: s.BondPathSuppressed,
-		BondPathDownMs:     s.BondPathDownMs,
-
-		ScreamLosses:       s.ScreamLosses,
-		ScreamLossesInBand: s.ScreamLossesInBand,
-		ScreamLossesWindow: s.ScreamLossesWindow,
-		ScreamDiscards:     s.ScreamDiscards,
-
-		Outages:           s.Outages,
-		OutageTotal:       s.OutageTotal,
-		StaleDrops:        s.StaleDrops,
-		KeyframeRequests:  s.KeyframeRequests,
-		PostOutageQueueMs: s.PostOutageQueueMs,
-		FaultEpisodes:     s.FaultEpisodes,
-
-		NacksSent:           s.NacksSent,
-		PacketsRepaired:     s.PacketsRepaired,
-		FramesRepaired:      s.FramesRepaired,
-		RepairLate:          s.RepairLate,
-		RepairAbandoned:     s.RepairAbandoned,
-		RepairDenied:        s.RepairDenied,
-		RepairCacheMisses:   s.RepairCacheMisses,
-		RtxBytes:            s.RtxBytes,
-		RepairBudgetAccrued: s.RepairBudgetAccrued,
-		RtxSent:             s.RtxSent,
-		RtxDelivered:        s.RtxDelivered,
-		RtxLost:             s.RtxLost,
-		RtxStaleDrops:       s.RtxStaleDrops,
-		RtxOverflows:        s.RtxOverflows,
-
-		SamplesFolded: s.samplesFolded,
-	}
-	w.OWDByAlt = make([]*metrics.Sketch, altBuckets)
-	w.RTTByAlt = make([]*metrics.Sketch, altBuckets)
-	for b := 0; b < int(altBuckets); b++ {
-		w.OWDByAlt[b] = &s.OWDByAlt[b]
-		w.RTTByAlt[b] = &s.RTTByAlt[b]
-	}
-	return json.Marshal(w)
+	return json.Marshal(summaryJSON{(*summaryFields)(s), s.samplesFolded})
 }
 
 // UnmarshalJSON reconstructs a summary marshaled by MarshalJSON. Config
-// comes back zero (it does not travel; the consumer restores it from the
-// campaign spec). Merging the result behaves exactly like merging the
-// original summary.
+// comes back zero (the consumer restores it from the campaign spec).
+// Merging the result behaves exactly like merging the original summary.
 func (s *Summary) UnmarshalJSON(data []byte) error {
-	var w summaryJSON
+	*s = Summary{}
+	w := summaryJSON{summaryFields: (*summaryFields)(s)}
 	if err := json.Unmarshal(data, &w); err != nil {
 		return err
 	}
-	*s = Summary{
-		Runs:     w.Runs,
-		Duration: w.Duration,
-
-		PER:                  w.PER,
-		PacketsSent:          w.PacketsSent,
-		PacketsDelivered:     w.PacketsDelivered,
-		PacketsLost:          w.PacketsLost,
-		Overflows:            w.Overflows,
-		CtrlPacketsSent:      w.CtrlPacketsSent,
-		CtrlPacketsDelivered: w.CtrlPacketsDelivered,
-		CtrlPacketsLost:      w.CtrlPacketsLost,
-
-		Handovers:        w.Handovers,
-		RLFs:             w.RLFs,
-		HandoverFailures: w.HandoverFailures,
-
-		Stalls:        w.Stalls,
-		StallsPerMin:  w.StallsPerMin,
-		FramesPlayed:  w.FramesPlayed,
-		FramesSkipped: w.FramesSkipped,
-
-		MultipathDuplicates: w.MultipathDuplicates,
-		AQMDrops:            w.AQMDrops,
-
-		BondSwitches:       w.BondSwitches,
-		BondPathDownEvents: w.BondPathDownEvents,
-		BondPathUpEvents:   w.BondPathUpEvents,
-		BondReorderLate:    w.BondReorderLate,
-		BondReorderForced:  w.BondReorderForced,
-		BondPathSent:       w.BondPathSent,
-		BondPathDelivered:  w.BondPathDelivered,
-		BondPathLost:       w.BondPathLost,
-		BondPathSuppressed: w.BondPathSuppressed,
-		BondPathDownMs:     w.BondPathDownMs,
-
-		ScreamLosses:       w.ScreamLosses,
-		ScreamLossesInBand: w.ScreamLossesInBand,
-		ScreamLossesWindow: w.ScreamLossesWindow,
-		ScreamDiscards:     w.ScreamDiscards,
-
-		Outages:           w.Outages,
-		OutageTotal:       w.OutageTotal,
-		StaleDrops:        w.StaleDrops,
-		KeyframeRequests:  w.KeyframeRequests,
-		PostOutageQueueMs: w.PostOutageQueueMs,
-		FaultEpisodes:     w.FaultEpisodes,
-
-		NacksSent:           w.NacksSent,
-		PacketsRepaired:     w.PacketsRepaired,
-		FramesRepaired:      w.FramesRepaired,
-		RepairLate:          w.RepairLate,
-		RepairAbandoned:     w.RepairAbandoned,
-		RepairDenied:        w.RepairDenied,
-		RepairCacheMisses:   w.RepairCacheMisses,
-		RtxBytes:            w.RtxBytes,
-		RepairBudgetAccrued: w.RepairBudgetAccrued,
-		RtxSent:             w.RtxSent,
-		RtxDelivered:        w.RtxDelivered,
-		RtxLost:             w.RtxLost,
-		RtxStaleDrops:       w.RtxStaleDrops,
-		RtxOverflows:        w.RtxOverflows,
-
-		samplesFolded: w.SamplesFolded,
-	}
-	assign := func(dst *metrics.Sketch, src *metrics.Sketch) {
-		if src != nil {
-			*dst = *src
-		}
-	}
-	assign(&s.OWDms, w.OWDms)
-	assign(&s.Goodput, w.Goodput)
-	assign(&s.FPS, w.FPS)
-	assign(&s.PlaybackMs, w.PlaybackMs)
-	assign(&s.SSIM, w.SSIM)
-	assign(&s.RTTms, w.RTTms)
-	assign(&s.JitterMs, w.JitterMs)
-	assign(&s.RTCPRTTms, w.RTCPRTTms)
-	assign(&s.OutageMs, w.OutageMs)
-	assign(&s.RecoveryMs, w.RecoveryMs)
-	for b := 0; b < int(altBuckets) && b < len(w.OWDByAlt); b++ {
-		assign(&s.OWDByAlt[b], w.OWDByAlt[b])
-	}
-	for b := 0; b < int(altBuckets) && b < len(w.RTTByAlt); b++ {
-		assign(&s.RTTByAlt[b], w.RTTByAlt[b])
-	}
+	s.samplesFolded = w.SamplesFolded
 	return nil
 }

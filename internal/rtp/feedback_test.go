@@ -475,3 +475,57 @@ func TestNTP32RoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestTWCCUnmarshalReusesStorage pins steady-state decoding into a reused
+// TWCC at zero allocations: Packets and the status-symbol scratch are both
+// reused. The reused decode must match a fresh one, including after a
+// longer report grew the storage and a shorter one reuses it.
+func TestTWCCUnmarshalReusesStorage(t *testing.T) {
+	mk := func(n int) []byte {
+		fb := &TWCC{SenderSSRC: 1, MediaSSRC: 2, BaseSeq: 65500}
+		at := time.Second
+		for i := 0; i < n; i++ {
+			a := Arrival{Received: i%7 != 3}
+			if a.Received {
+				at += time.Duration(i%5) * 300 * time.Microsecond
+				if i%13 == 0 {
+					at += 80 * time.Millisecond // large delta
+				}
+				a.At = at
+			}
+			fb.Packets = append(fb.Packets, a)
+		}
+		buf, err := fb.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf
+	}
+	long, short := mk(300), mk(40)
+	var reused TWCC
+	for _, buf := range [][]byte{long, short, long} {
+		var fresh TWCC
+		if err := fresh.Unmarshal(buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := reused.Unmarshal(buf); err != nil {
+			t.Fatal(err)
+		}
+		if fresh.BaseSeq != reused.BaseSeq || len(fresh.Packets) != len(reused.Packets) {
+			t.Fatalf("reused decode: base %d len %d, fresh: base %d len %d",
+				reused.BaseSeq, len(reused.Packets), fresh.BaseSeq, len(fresh.Packets))
+		}
+		for i := range fresh.Packets {
+			if fresh.Packets[i] != reused.Packets[i] {
+				t.Fatalf("packet %d: reused %+v, fresh %+v", i, reused.Packets[i], fresh.Packets[i])
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := reused.Unmarshal(long); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Unmarshal into a reused TWCC allocates %.1f times, want 0", allocs)
+	}
+}

@@ -25,13 +25,17 @@ type Arrival struct {
 
 // TWCC is a transport-wide congestion control feedback packet
 // (draft-holmer-rmcat-transport-wide-cc-extensions-01). Packets describes
-// consecutive transport sequence numbers starting at BaseSeq.
+// consecutive transport sequence numbers starting at BaseSeq. Unmarshal
+// into a reused TWCC reuses Packets and its status-symbol scratch, so
+// steady-state decoding allocates nothing.
 type TWCC struct {
 	SenderSSRC uint32
 	MediaSSRC  uint32
 	BaseSeq    uint16
 	FbPktCount uint8
 	Packets    []Arrival
+
+	syms []uint8 // Unmarshal's decoded status symbols
 }
 
 // Packet status symbols.
@@ -199,7 +203,10 @@ func (f *TWCC) Unmarshal(buf []byte) error {
 	f.FbPktCount = buf[19]
 
 	// Decode status chunks.
-	syms := make([]uint8, 0, count)
+	if cap(f.syms) < count {
+		f.syms = make([]uint8, 0, count)
+	}
+	syms := f.syms[:0]
 	off := 20
 	for len(syms) < count {
 		if off+2 > len(buf) {
@@ -223,6 +230,8 @@ func (f *TWCC) Unmarshal(buf []byte) error {
 			}
 		}
 	}
+
+	f.syms = syms
 
 	// Decode deltas and reconstruct arrival times.
 	if cap(f.Packets) < count {
