@@ -89,3 +89,52 @@ func TestDedupReorderAcrossWrap(t *testing.T) {
 		t.Fatal("sequence Marked via the repair path not recognized as duplicate")
 	}
 }
+
+// bondedArrivals replays two path copies of a media stream: the second
+// path trails by up to 31 packets and one packet in 16 is lost on it, with
+// an RTX repair Marked in its place.
+func bondedArrivals(d *multipathDedup, i int) (dups int) {
+	seq := uint16(i)
+	if _, dup := d.DuplicateExt(seq); dup {
+		dups++
+	}
+	late := seq - uint16(i*7%32)
+	if i%16 == 0 {
+		d.Mark(late)
+	} else if _, dup := d.DuplicateExt(late); dup {
+		dups++
+	}
+	return dups
+}
+
+var dedupSink int
+
+// BenchmarkMultipathDedup measures one packet's arrival on each of two
+// bonded paths in steady state, past a 16-bit wrap.
+func BenchmarkMultipathDedup(b *testing.B) {
+	d := newMultipathDedup()
+	for i := 0; i < 1<<17; i++ {
+		bondedArrivals(d, i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dedupSink += bondedArrivals(d, 1<<17+i)
+	}
+}
+
+// TestDedupSteadyStateAllocs pins DuplicateExt and Mark to zero
+// allocations.
+func TestDedupSteadyStateAllocs(t *testing.T) {
+	d := newMultipathDedup()
+	i := 0
+	for ; i < 1<<17; i++ {
+		bondedArrivals(d, i)
+	}
+	if allocs := testing.AllocsPerRun(5000, func() {
+		dedupSink += bondedArrivals(d, i)
+		i++
+	}); allocs != 0 {
+		t.Errorf("dedup allocates %.2f times per packet pair, want 0", allocs)
+	}
+}

@@ -168,31 +168,65 @@ func (s *Sender) tick() {
 type frameInfo struct {
 	rate       float64
 	complexity float64
+	tag        uint32 // frame number + 1; zero marks an empty slot
 }
 
-type frameRegistry map[uint32]frameInfo
+// frameRegistry keeps the newest frame and the frameWindow frames before
+// it (~40 s of video) in a ring indexed by frame number, each slot tagged
+// with the frame it holds. The encoder numbers frames consecutively, so
+// the window never needs more slots than frames registered; the ring
+// starts small and doubles only when a store would overwrite a frame still
+// in the window, up to frameRing slots.
+type frameRegistry struct {
+	ring   []frameInfo
+	newest uint32
+}
+
+const (
+	frameWindow   = 1200
+	frameRing     = 2048 // the power of two above frameWindow+1
+	minFrameSlots = 64
+)
 
 func (s *Sender) registerFrame(f Frame) {
-	if s.frames == nil {
-		s.frames = make(frameRegistry)
+	r := &s.frames
+	if len(r.ring) == 0 {
+		r.ring = make([]frameInfo, minFrameSlots)
 	}
-	s.frames[f.Num] = frameInfo{rate: f.Rate, complexity: f.Complexity}
-	// Bound memory: drop entries older than ~40 s of video.
-	if len(s.frames) > 1200 {
-		cut := f.Num - 1200
-		for n := range s.frames {
-			if n < cut {
-				delete(s.frames, n)
-			}
+	for len(r.ring) < frameRing {
+		old := r.ring[f.Num&uint32(len(r.ring)-1)]
+		if old.tag == 0 || f.Num-(old.tag-1) > frameWindow {
+			break
+		}
+		r.grow()
+	}
+	r.ring[f.Num&uint32(len(r.ring)-1)] = frameInfo{rate: f.Rate, complexity: f.Complexity, tag: f.Num + 1}
+	r.newest = f.Num
+}
+
+// grow doubles the ring, re-placing every held frame by its number.
+func (r *frameRegistry) grow() {
+	ring := make([]frameInfo, 2*len(r.ring))
+	for _, fi := range r.ring {
+		if fi.tag != 0 {
+			ring[(fi.tag-1)&uint32(len(ring)-1)] = fi
 		}
 	}
+	r.ring = ring
 }
 
 // FrameEncoding returns the encoder rate and complexity of a frame, with
 // ok=false when it is no longer tracked.
 func (s *Sender) FrameEncoding(num uint32) (rate, complexity float64, ok bool) {
-	fi, ok := s.frames[num]
-	return fi.rate, fi.complexity, ok
+	r := &s.frames
+	if len(r.ring) == 0 || num > r.newest || r.newest-num > frameWindow {
+		return 0, 0, false
+	}
+	fi := r.ring[num&uint32(len(r.ring)-1)]
+	if fi.tag != num+1 {
+		return 0, 0, false
+	}
+	return fi.rate, fi.complexity, true
 }
 
 // Kick restarts the drain loop; the session calls it when feedback arrives
