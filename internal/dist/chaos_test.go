@@ -117,20 +117,39 @@ func runChaosCampaign(t *testing.T, workers, runs, chunk int, seed uint64, kills
 	t.Helper()
 	peers, pids := startChaosWorkers(t, workers)
 
-	// The chaos injector: each configured kill fires after one more chunk
-	// has been committed, so workers die mid-campaign with work in flight —
-	// SIGKILL straight to the pid, not through the coordinator's Peer.
+	// The chaos injector: each configured kill is armed by one more chunk
+	// commit and fires at the first event that finds its target holding a
+	// lease, so the worker dies with work in flight that must be reissued
+	// — SIGKILL straight to the pid, not through the coordinator's Peer.
+	// Open leases are tracked from the grant and commit events: a worker
+	// killed between its commit and its next grant holds nothing to
+	// reissue.
 	var mu sync.Mutex
-	next := 0
+	next, armed := 0, false
+	leased := map[int]int{} // worker → chunk of its open grant
 	events := func(e Event) {
-		if e.Kind != EvChunkDone {
-			return
-		}
 		mu.Lock()
 		defer mu.Unlock()
-		if next < len(kills) {
+		switch e.Kind {
+		case EvGrant:
+			leased[e.Worker] = e.Chunk
+		case EvChunkDone:
+			for w, ck := range leased {
+				if ck == e.Chunk {
+					delete(leased, w)
+				}
+			}
+			armed = true
+		case EvWorkerLost:
+			delete(leased, e.Worker)
+		}
+		if !armed || next == len(kills) {
+			return
+		}
+		if _, ok := leased[kills[next]]; ok {
 			syscall.Kill(pids[kills[next]], syscall.SIGKILL)
 			next++
+			armed = false
 		}
 	}
 

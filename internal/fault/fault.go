@@ -10,6 +10,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"time"
@@ -152,6 +153,9 @@ func ParseSchedule(spec string) ([]Window, error) {
 		}
 		if w.Start < 0 || w.Duration <= 0 {
 			return nil, fmt.Errorf("fault: window %q must have start ≥ 0 and duration > 0", field)
+		}
+		if w.Duration > math.MaxInt64-w.Start {
+			return nil, fmt.Errorf("fault: window %q ends past the largest representable time", field)
 		}
 		out = append(out, w)
 	}
